@@ -389,6 +389,12 @@ func (gm *GraphManager) LastTime() Time { return gm.dg.LastTime() }
 // for the background cleaner) and returns the number of elements evicted.
 func (gm *GraphManager) ForceClean() int { return gm.cleaner.ForceClean() }
 
+// OnClean registers fn to be called after every GraphPool cleanup pass
+// (background or ForceClean) with the pass's wall time and the number of
+// elements it evicted; the query service feeds its pool metrics from it.
+// It replaces any earlier fn.
+func (gm *GraphManager) OnClean(fn func(d time.Duration, evicted int)) { gm.cleaner.OnPass(fn) }
+
 // Materialize applies a materialization policy: "root", "children",
 // "grandchildren", or "leaves" (total materialization).
 func (gm *GraphManager) Materialize(policy string) error { return gm.dg.MaterializeLevel(policy) }

@@ -221,3 +221,62 @@ func TestOptionErrors(t *testing.T) {
 		t.Error("bad attr options accepted in multipoint")
 	}
 }
+
+// A structure-only graph overlaid as exceptions against the current graph
+// must not inherit the current graph's attributes, and a partial attribute
+// selection inherits only what it selected.
+func TestDependentViewAttributeSelection(t *testing.T) {
+	gm, err := Open(Options{LeafEventlistSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gm.Close()
+	if err := gm.AppendAll(EventList{
+		{Type: AddNode, At: 1, Node: 1},
+		{Type: AddNode, At: 2, Node: 2},
+		{Type: SetNodeAttr, At: 3, Node: 1, Attr: "name", New: "a", HasNew: true},
+		{Type: SetNodeAttr, At: 3, Node: 1, Attr: "role", New: "r", HasNew: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts string
+		want map[string]string
+	}{
+		{"", nil},
+		{"+node:name", map[string]string{"name": "a"}},
+		{"+node:all-node:role", map[string]string{"name": "a"}},
+		{"+node:all", map[string]string{"name": "a", "role": "r"}},
+	} {
+		h, err := gm.GetHistGraph(3, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.HasNode(1) || !h.HasNode(2) {
+			t.Fatalf("%q: nodes missing", tc.opts)
+		}
+		for _, attr := range []string{"name", "role"} {
+			got, ok := h.NodeAttr(1, attr)
+			if want, wantOK := tc.want[attr]; ok != wantOK || got != want {
+				t.Errorf("%q: NodeAttr(1, %s) = %q, %v; want %q, %v", tc.opts, attr, got, ok, want, wantOK)
+			}
+		}
+		if got := h.NodeAttrs(1); len(got) != len(tc.want) {
+			t.Errorf("%q: NodeAttrs(1) = %v, want %v", tc.opts, got, tc.want)
+		}
+		if got := h.Snapshot().NodeAttrs; len(got[1]) != len(tc.want) || len(got) > 1 {
+			t.Errorf("%q: Snapshot().NodeAttrs = %v, want node 1 with %v", tc.opts, got, tc.want)
+		}
+		if err := gm.Release(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Before the attribute was set, no selection sees it.
+	h, err := gm.GetHistGraph(2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h.NodeAttr(1, "name"); ok {
+		t.Error("t=2: attribute visible before it was set")
+	}
+}

@@ -1,6 +1,7 @@
-// Package bitset provides the small dynamic bitset used by GraphPool to
-// track, per graph element, which of the active graphs contain it
-// (Section 6 of the paper). The zero value is an empty bitset ready to use.
+// Package bitset provides the small dynamic bitset GraphPool stores its
+// membership matrix in (Section 6 of the paper): one bitset per bit
+// position, indexed by element slot. The zero value is an empty bitset
+// ready to use.
 package bitset
 
 import (
@@ -18,62 +19,28 @@ type Bits struct {
 
 // Set sets bit i, growing the bitmap if needed.
 func (b *Bits) Set(i int) {
-	w := i / wordBits
-	for w >= len(b.words) {
-		b.words = append(b.words, 0)
+	w := uint(i) / wordBits
+	if w >= uint(len(b.words)) {
+		b.grow(w)
 	}
-	b.words[w] |= 1 << (i % wordBits)
+	b.words[w] |= 1 << (uint(i) % wordBits)
+}
+
+func (b *Bits) grow(w uint) {
+	b.words = append(b.words, make([]uint64, int(w)+1-len(b.words))...)
 }
 
 // Clear clears bit i. Clearing a bit beyond the current length is a no-op.
 func (b *Bits) Clear(i int) {
-	w := i / wordBits
-	if w < len(b.words) {
-		b.words[w] &^= 1 << (i % wordBits)
+	if w := uint(i) / wordBits; w < uint(len(b.words)) {
+		b.words[w] &^= 1 << (uint(i) % wordBits)
 	}
 }
 
 // Get reports whether bit i is set.
 func (b *Bits) Get(i int) bool {
-	w := i / wordBits
-	return w < len(b.words) && b.words[w]&(1<<(i%wordBits)) != 0
-}
-
-// SetTo sets bit i to v.
-func (b *Bits) SetTo(i int, v bool) {
-	if v {
-		b.Set(i)
-	} else {
-		b.Clear(i)
-	}
-}
-
-// Any reports whether any bit is set.
-func (b *Bits) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyExcept reports whether any bit other than the listed ones is set.
-func (b *Bits) AnyExcept(except ...int) bool {
-	var mask Bits
-	for _, i := range except {
-		mask.Set(i)
-	}
-	for wi, w := range b.words {
-		m := uint64(0)
-		if wi < len(mask.words) {
-			m = mask.words[wi]
-		}
-		if w&^m != 0 {
-			return true
-		}
-	}
-	return false
+	w := uint(i) / wordBits
+	return w < uint(len(b.words)) && b.words[w]&(1<<(uint(i)%wordBits)) != 0
 }
 
 // Count returns the number of set bits.
@@ -86,17 +53,30 @@ func (b *Bits) Count() int {
 }
 
 // ClearAll clears every bit, retaining capacity.
-func (b *Bits) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
+func (b *Bits) ClearAll() { clear(b.words) }
+
+// Or sets every bit that is set in o.
+func (b *Bits) Or(o *Bits) {
+	if len(o.words) > len(b.words) {
+		b.grow(uint(len(o.words) - 1))
+	}
+	for i, w := range o.words {
+		b.words[i] |= w
 	}
 }
 
-// Clone returns a copy of the bitset.
-func (b *Bits) Clone() Bits {
-	c := Bits{words: make([]uint64, len(b.words))}
-	copy(c.words, b.words)
-	return c
+// EachNotIn calls fn, in ascending order, for every bit set in b and clear
+// in o. fn may clear bits of b it has been called for.
+func (b *Bits) EachNotIn(o *Bits, fn func(i int)) {
+	for wi, w := range b.words {
+		if wi < len(o.words) {
+			w &^= o.words[wi]
+		}
+		for w != 0 {
+			fn(wi*wordBits + bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
 }
 
 // SizeBytes returns the approximate heap footprint of the bitset payload;
@@ -107,16 +87,13 @@ func (b *Bits) SizeBytes() int { return len(b.words) * 8 }
 func (b *Bits) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	first := true
 	for wi, w := range b.words {
 		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			if !first {
+			if sb.Len() > 1 {
 				sb.WriteByte(',')
 			}
-			first = false
-			sb.WriteString(strconv.Itoa(wi*wordBits + bit))
-			w &^= 1 << bit
+			sb.WriteString(strconv.Itoa(wi*wordBits + bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
 	sb.WriteByte('}')

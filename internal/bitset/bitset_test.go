@@ -8,7 +8,7 @@ import (
 
 func TestSetGetClear(t *testing.T) {
 	var b Bits
-	if b.Get(0) || b.Any() {
+	if b.Get(0) || b.Count() != 0 {
 		t.Fatal("zero value must be empty")
 	}
 	b.Set(0)
@@ -36,49 +36,6 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
-func TestSetTo(t *testing.T) {
-	var b Bits
-	b.SetTo(5, true)
-	if !b.Get(5) {
-		t.Error("SetTo(true) failed")
-	}
-	b.SetTo(5, false)
-	if b.Get(5) {
-		t.Error("SetTo(false) failed")
-	}
-}
-
-func TestAnyExcept(t *testing.T) {
-	var b Bits
-	b.Set(3)
-	if b.AnyExcept(3) {
-		t.Error("AnyExcept(3) with only bit 3 set")
-	}
-	if !b.AnyExcept(2) {
-		t.Error("AnyExcept(2) should see bit 3")
-	}
-	b.Set(100)
-	if !b.AnyExcept(3) {
-		t.Error("AnyExcept(3) should see bit 100")
-	}
-	if b.AnyExcept(3, 100) {
-		t.Error("AnyExcept(3,100) should be false")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	var b Bits
-	b.Set(7)
-	c := b.Clone()
-	c.Set(8)
-	if b.Get(8) {
-		t.Error("clone shares storage")
-	}
-	if !c.Get(7) {
-		t.Error("clone lost bit")
-	}
-}
-
 func TestClearAllAndString(t *testing.T) {
 	var b Bits
 	b.Set(0)
@@ -87,7 +44,7 @@ func TestClearAllAndString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 	b.ClearAll()
-	if b.Any() {
+	if b.Count() != 0 {
 		t.Error("ClearAll left bits")
 	}
 	if got := b.String(); got != "{}" {
@@ -103,6 +60,32 @@ func TestSizeBytes(t *testing.T) {
 	b.Set(200)
 	if b.SizeBytes() != 4*8 {
 		t.Errorf("SizeBytes = %d, want 32", b.SizeBytes())
+	}
+}
+
+func TestOrAndEachNotIn(t *testing.T) {
+	var a, b Bits
+	a.Set(1)
+	a.Set(70)
+	b.Set(3)
+	b.Set(200)
+	a.Or(&b)
+	if got := a.String(); got != "{1,3,70,200}" {
+		t.Fatalf("Or = %s", got)
+	}
+	var mask Bits
+	mask.Set(3)
+	mask.Set(70)
+	var got []int
+	a.EachNotIn(&mask, func(i int) {
+		got = append(got, i)
+		a.Clear(i)
+	})
+	if len(got) != 2 || got[0] != 1 || got[1] != 200 {
+		t.Errorf("EachNotIn = %v, want [1 200]", got)
+	}
+	if s := a.String(); s != "{3,70}" {
+		t.Errorf("after clearing visited bits: %s", s)
 	}
 }
 

@@ -714,7 +714,8 @@ func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) 
 // graph ID. When the plan starts at a materialized node (or the current
 // graph) and the applied records are a small fraction of the base size,
 // the snapshot is overlaid as a dependent graph — the paper's bit-pair
-// optimization.
+// optimization. The exceptions are taken against the base filtered to
+// opts, and the dependent graph inherits only those attributes.
 func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.GraphID, error) {
 	if dg.pool == nil {
 		return 0, fmt.Errorf("deltagraph: no GraphPool attached")
@@ -744,7 +745,7 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 		if baseSize > 0 && float64(p.appliedRecords) <= dg.opts.DependentMaxRatio*float64(baseSize) {
 			exc := delta.Compute(s, opts.FilterSnapshot(baseSnap.Clone()))
 			dg.mu.RUnlock()
-			return dg.pool.OverlayDependent(baseID, exc, t)
+			return dg.pool.OverlayDependentFiltered(baseID, exc, t, opts)
 		}
 	}
 	dg.mu.RUnlock()

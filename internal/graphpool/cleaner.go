@@ -18,6 +18,7 @@ type Cleaner struct {
 	stop    chan struct{}
 	done    chan struct{}
 	cleaned int64
+	onPass  func(time.Duration, int)
 }
 
 // NewCleaner creates a cleaner for the pool that runs every interval once
@@ -48,10 +49,7 @@ func (c *Cleaner) run(stop, done chan struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
-			n := c.pool.CleanNow()
-			c.mu.Lock()
-			c.cleaned += int64(n)
-			c.mu.Unlock()
+			c.pass()
 		}
 	}
 }
@@ -71,11 +69,28 @@ func (c *Cleaner) Stop() {
 
 // ForceClean runs a full cleanup pass synchronously (the "system is running
 // low on memory" path) and returns the number of elements liberated.
-func (c *Cleaner) ForceClean() int {
+func (c *Cleaner) ForceClean() int { return c.pass() }
+
+// OnPass registers fn to be called after every pass, background or
+// forced, with the pass's wall time and the number of elements it
+// evicted. It replaces any earlier fn; nil removes it.
+func (c *Cleaner) OnPass(fn func(d time.Duration, evicted int)) {
+	c.mu.Lock()
+	c.onPass = fn
+	c.mu.Unlock()
+}
+
+func (c *Cleaner) pass() int {
+	start := time.Now()
 	n := c.pool.CleanNow()
+	d := time.Since(start)
 	c.mu.Lock()
 	c.cleaned += int64(n)
+	fn := c.onPass
 	c.mu.Unlock()
+	if fn != nil {
+		fn(d, n)
+	}
 	return n
 }
 

@@ -45,3 +45,22 @@ func TestCleanerForceClean(t *testing.T) {
 		t.Error("pool not emptied")
 	}
 }
+
+func TestCleanerOnPass(t *testing.T) {
+	p := New()
+	c := NewCleaner(p, time.Hour)
+	var passes, evicted int
+	c.OnPass(func(d time.Duration, n int) {
+		if d < 0 {
+			t.Errorf("negative pass duration %v", d)
+		}
+		passes++
+		evicted += n
+	})
+	p.Release(p.OverlaySnapshot(buildSnapshot(10), 1))
+	n := c.ForceClean()
+	c.ForceClean() // an idle pass is observed too
+	if passes != 2 || evicted != n || int64(n) != c.TotalCleaned() {
+		t.Errorf("observed %d passes evicting %d; ForceClean evicted %d, total %d", passes, evicted, n, c.TotalCleaned())
+	}
+}

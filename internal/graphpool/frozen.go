@@ -7,11 +7,11 @@ import (
 
 // FrozenView is a lock-free, immutable projection of a View for iterative
 // analytics (the paper runs PageRank directly over the pool). Freezing
-// resolves the union adjacency once and copies each element's relevant
-// bitmap words inline; traversal then pays exactly one bitmap membership
-// test per visited element — no locks, no pointer chasing — which is the
-// cost the paper's bitmap-penalty experiment measures (Section 7: ~7% on
-// PageRank).
+// resolves the union adjacency once and packs each element's relevant
+// column bits into one inline word; traversal then pays exactly one
+// bitmap membership test per visited element — no locks, no pointer
+// chasing — which is the cost the paper's bitmap-penalty experiment
+// measures (Section 7: ~7% on PageRank).
 //
 // The projection reflects the pool at freeze time; graphs overlaid or
 // released afterwards are not observed. Freeze again to refresh.
@@ -24,7 +24,7 @@ type FrozenView struct {
 
 type frozenNode struct {
 	id   graph.NodeID
-	word uint64 // the bitmap word(s) the test needs, packed
+	word uint64 // the column bits the test needs, packed
 }
 
 type frozenEdge struct {
@@ -50,61 +50,51 @@ func (t membershipTest) member(w uint64) bool {
 	return false
 }
 
-// pack extracts the bits the test needs into one word: bit positions 0/1
-// hold the entry pair (or the single bit), position 2 the dependency bit.
-func pack(bm *bitset.Bits, excBit, memBit, depBit int) uint64 {
-	var w uint64
-	if excBit >= 0 && bm.Get(excBit) {
-		w |= 1
-	}
-	if memBit >= 0 && bm.Get(memBit) {
-		w |= 2
-	}
-	if depBit >= 0 && bm.Get(depBit) {
-		w |= 4
-	}
-	return w
-}
-
 // Freeze builds the lock-free projection of the view.
 func (v *View) Freeze() *FrozenView {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	entry := v.entry
-	// Resolve the bit layout once.
-	excBit, memBit, depBit := -1, -1, -1
+	// Resolve the bit layout once: the packed word holds the entry pair
+	// (or the single bit) in positions 0/1, the dependency bit in 2. The
+	// current and materialized graphs are modelled as "always explicit".
+	var exc, mem, dep *bitset.Bits
 	test := membershipTest{excMask: 1, memMask: 2, depMask: 4}
 	switch entry.kind {
 	case KindCurrent:
-		// Membership is bit 0: model as "always exceptional".
-		excBit, memBit = -2, 0 // excBit -2: see below, force exc set
+		mem = &v.p.cols[0]
 	case KindMaterialized:
-		excBit, memBit = -2, entry.bit
+		mem = &v.p.cols[entry.bit]
 	default:
-		excBit, memBit = entry.bit, entry.bit+1
-		if entry.dep != NoDependency {
-			if dep, ok := v.p.graphs[entry.dep]; ok {
-				test.useDep = true
-				depBit = dep.bit // current graph: bit 0; materialized: its bit
-			}
+		exc, mem = &v.p.cols[entry.bit], &v.p.cols[entry.bit+1]
+		if entry.dep != nil {
+			test.useDep = true
+			dep = &v.p.cols[entry.dep.bit] // current graph: bit 0; materialized: its bit
 		}
 	}
-	packOne := func(bm *bitset.Bits) uint64 {
-		if excBit == -2 { // non-historical: exception always "set"
-			return 1 | pack(bm, -1, memBit, -1)
+	pack := func(slot int32) uint64 {
+		var w uint64
+		if exc == nil || exc.Get(int(slot)) {
+			w |= 1
 		}
-		return pack(bm, excBit, memBit, depBit)
+		if mem.Get(int(slot)) {
+			w |= 2
+		}
+		if dep != nil && dep.Get(int(slot)) {
+			w |= 4
+		}
+		return w
 	}
 
 	f := &FrozenView{test: test, adj: make(map[graph.NodeID][]frozenEdge), numNode: entry.nodeCount}
-	for id, pn := range v.p.nodes {
-		f.nodes = append(f.nodes, frozenNode{id: id, word: packOne(&pn.bm)})
+	for id, slot := range v.p.nodes {
+		f.nodes = append(f.nodes, frozenNode{id: id, word: pack(slot)})
 	}
-	for _, pe := range v.p.edges {
-		w := packOne(&pe.bm)
-		f.adj[pe.info.From] = append(f.adj[pe.info.From], frozenEdge{other: pe.info.To, word: w})
-		if pe.info.To != pe.info.From {
-			f.adj[pe.info.To] = append(f.adj[pe.info.To], frozenEdge{other: pe.info.From, word: w})
+	for _, slot := range v.p.edges {
+		w, o := pack(slot), &v.p.owners[slot]
+		f.adj[o.from] = append(f.adj[o.from], frozenEdge{other: o.to, word: w})
+		if o.to != o.from {
+			f.adj[o.to] = append(f.adj[o.to], frozenEdge{other: o.from, word: w})
 		}
 	}
 	return f

@@ -3,22 +3,33 @@
 // retrieved historical snapshots, and materialized DeltaGraph nodes —
 // overlaid non-redundantly on a single union graph.
 //
-// Every element (node, edge, and each distinct attribute value) carries a
-// bitmap that records which of the active graphs contain it. Bits 0 and 1
-// are reserved for the current graph: bit 0 is current membership; bit 1
-// marks elements recently deleted from the current graph that are not yet
-// flushed into the DeltaGraph index. Each historical graph is assigned a
-// bit pair {2i, 2i+1}; a materialized graph a single bit.
+// The membership matrix (which active graphs contain which element) is
+// stored by column. Every element — node, edge, and each distinct
+// attribute value — holds a dense int32 slot, and every bit position is
+// one bitset over those slots. Bits 0 and 1 are reserved for the current
+// graph: bit 0 is current membership; bit 1 marks elements recently
+// deleted from the current graph that are not yet flushed into the
+// DeltaGraph index. Each historical graph is assigned a bit pair
+// {2i, 2i+1}; a materialized graph a single bit. Overlaying a graph costs
+// one map probe and one column write per element.
 //
 // The bit pair enables the paper's dependent-graph optimization: a
 // historical graph close to a materialized graph (or the current graph)
 // stores only its exceptions. Bit 2i set means "explicit: bit 2i+1 is the
 // membership"; bit 2i clear means "inherit membership from the dependency".
 // Only exception elements are touched when such a graph is overlaid.
+//
+// Released graphs are reclaimed lazily by CleanNow: it zeroes their
+// columns, ORs the remaining columns into a liveness mask, evicts the
+// slots outside it (found through a slot→owner table) and recycles both
+// the bits and the slots. A pass costs O(columns × slots/64 + evicted),
+// plus one sweep of the adjacency lists when it evicted edges;
+// ClearRecent and LoadCurrent zero a single column.
 package graphpool
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -60,28 +71,50 @@ func (k GraphKind) String() string {
 	return "?"
 }
 
-// attrVal is one attribute value with the bitmap of graphs holding it.
+// slotKind says what an element slot holds; slotFree marks a recycled one.
+type slotKind uint8
+
+const (
+	slotFree slotKind = iota
+	slotNode
+	slotEdge
+	slotNodeAttr
+	slotEdgeAttr
+)
+
+// owner is one row of the slot→owner table: the node or edge ID the slot
+// belongs to (for an attribute value, the ID of the element carrying it)
+// and, for an edge, its endpoints, so the ID maps hold only slots.
+type owner struct {
+	id       int64
+	from, to graph.NodeID
+	kind     slotKind
+	directed bool
+}
+
+func (o *owner) edgeInfo() graph.EdgeInfo {
+	return graph.EdgeInfo{From: o.from, To: o.to, Directed: o.directed}
+}
+
+// attrVal is one resident attribute value of an element.
 type attrVal struct {
-	val string
-	bm  bitset.Bits
+	name int32 // interned attribute name: Pool.names[name]
+	slot int32
+	val  string
 }
 
-type poolNode struct {
-	bm    bitset.Bits
-	attrs map[string][]*attrVal
-}
-
-type poolEdge struct {
-	info  graph.EdgeInfo
-	bm    bitset.Bits
-	attrs map[string][]*attrVal
-}
+// attrSet is every resident attribute value of one element. An element
+// carries few attributes, so a scan beats a per-element map.
+type attrSet []attrVal
 
 type graphEntry struct {
-	id         GraphID
-	kind       GraphKind
-	bit        int // first bit; historical graphs also own bit+1
-	dep        GraphID
+	id   GraphID
+	kind GraphKind
+	bit  int         // first bit; the current and historical graphs also own bit+1
+	dep  *graphEntry // dependency of a dependent historical graph, else nil
+	// attrs selects the attributes a dependent graph inherits from dep
+	// where it stores no exception (the attributes its retrieval asked for).
+	attrs      graph.AttrOptions
 	at         graph.Time
 	released   bool
 	dependents int
@@ -90,32 +123,58 @@ type graphEntry struct {
 	edgeCount  int
 }
 
+// depID returns the mapping-table dependency of g.
+func (g *graphEntry) depID() GraphID {
+	if g.dep == nil {
+		return NoDependency
+	}
+	return g.dep.id
+}
+
+// allAttrs makes a dependent graph inherit every attribute.
+var allAttrs = graph.AttrOptions{NodeAll: true, EdgeAll: true}
+
 // Pool is the GraphPool. It is safe for concurrent use; retrieval overlays
 // take the write lock, view reads take the read lock.
 type Pool struct {
-	mu     sync.RWMutex
-	nodes  map[graph.NodeID]*poolNode
-	edges  map[graph.EdgeID]*poolEdge
-	adj    map[graph.NodeID][]graph.EdgeID
-	graphs map[GraphID]*graphEntry
-	nextID GraphID
-	// Bit allocation: historical graphs take pairs, materialized singles.
-	nextBit     int
+	mu        sync.RWMutex
+	nodes     map[graph.NodeID]int32 // node → slot
+	edges     map[graph.EdgeID]int32 // edge → slot
+	nodeAttrs map[graph.NodeID]attrSet
+	edgeAttrs map[graph.EdgeID]attrSet
+	adj       map[graph.NodeID][]int32 // node → slots of its incident edges
+	names     []string                 // interned attribute names
+	nameIDs   map[string]int32         // name → index into names
+	graphs    map[GraphID]*graphEntry
+	nextID    GraphID
+	// cols[b] is the set of slots whose bit b is set. Historical graphs
+	// take pairs of columns, materialized graphs singles; freed columns
+	// are zeroed and recycled.
+	cols        []bitset.Bits
 	freePairs   []int
 	freeSingles []int
+	// Slot allocation: owners[s] describes slot s, used marks the
+	// allocated slots, freeSlots holds evicted ones for reuse.
+	owners    []owner
+	used      bitset.Bits
+	freeSlots []int32
+	live      bitset.Bits // CleanNow's liveness mask, kept to reuse its words
 }
 
 // New returns an empty pool containing only the (empty) current graph.
 func New() *Pool {
 	p := &Pool{
-		nodes:   make(map[graph.NodeID]*poolNode),
-		edges:   make(map[graph.EdgeID]*poolEdge),
-		adj:     make(map[graph.NodeID][]graph.EdgeID),
-		graphs:  make(map[GraphID]*graphEntry),
-		nextID:  1,
-		nextBit: 2, // bits 0 and 1 are the current graph's
+		nodes:     make(map[graph.NodeID]int32),
+		edges:     make(map[graph.EdgeID]int32),
+		nodeAttrs: make(map[graph.NodeID]attrSet),
+		edgeAttrs: make(map[graph.EdgeID]attrSet),
+		adj:       make(map[graph.NodeID][]int32),
+		nameIDs:   make(map[string]int32),
+		graphs:    make(map[GraphID]*graphEntry),
+		nextID:    1,
+		cols:      make([]bitset.Bits, 2), // bits 0 and 1 are the current graph's
 	}
-	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, bit: 0, dep: NoDependency}
+	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, bit: 0}
 	return p
 }
 
@@ -125,8 +184,8 @@ func (p *Pool) allocPair() int {
 		p.freePairs = p.freePairs[:n-1]
 		return bit
 	}
-	bit := p.nextBit
-	p.nextBit += 2
+	bit := len(p.cols)
+	p.cols = append(p.cols, bitset.Bits{}, bitset.Bits{})
 	return bit
 }
 
@@ -136,67 +195,140 @@ func (p *Pool) allocSingle() int {
 		p.freeSingles = p.freeSingles[:n-1]
 		return bit
 	}
-	bit := p.nextBit
-	p.nextBit++
+	bit := len(p.cols)
+	p.cols = append(p.cols, bitset.Bits{})
 	return bit
 }
 
-func (p *Pool) node(id graph.NodeID) *poolNode {
-	n := p.nodes[id]
-	if n == nil {
-		n = &poolNode{}
-		p.nodes[id] = n
-	}
-	return n
+// register adds a new graph to the mapping table.
+func (p *Pool) register(kind GraphKind, bit int, at graph.Time) *graphEntry {
+	g := &graphEntry{id: p.nextID, kind: kind, bit: bit, at: at}
+	p.nextID++
+	p.graphs[g.id] = g
+	return g
 }
 
-func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
-	e := p.edges[id]
-	if e == nil {
-		e = &poolEdge{info: info}
-		p.edges[id] = e
-		p.adj[info.From] = append(p.adj[info.From], id)
-		if info.To != info.From {
-			p.adj[info.To] = append(p.adj[info.To], id)
-		}
+func (p *Pool) allocSlot(kind slotKind, id int64) int32 {
+	var s int32
+	if n := len(p.freeSlots); n > 0 {
+		s = p.freeSlots[n-1]
+		p.freeSlots = p.freeSlots[:n-1]
+		p.owners[s] = owner{id: id, kind: kind}
+	} else {
+		s = int32(len(p.owners))
+		p.owners = append(p.owners, owner{id: id, kind: kind})
 	}
-	return e
+	p.used.Set(int(s))
+	return s
 }
 
-func setAttr(attrs *map[string][]*attrVal, name, val string, bit int) {
-	if *attrs == nil {
-		*attrs = make(map[string][]*attrVal)
+func (p *Pool) set(bit int, slot int32)      { p.cols[bit].Set(int(slot)) }
+func (p *Pool) unset(bit int, slot int32)    { p.cols[bit].Clear(int(slot)) }
+func (p *Pool) get(bit int, slot int32) bool { return p.cols[bit].Get(int(slot)) }
+
+// nodeSlot returns n's slot, making n resident if needed.
+func (p *Pool) nodeSlot(n graph.NodeID) int32 {
+	if s, ok := p.nodes[n]; ok {
+		return s
 	}
-	vals := (*attrs)[name]
-	for _, av := range vals {
-		if av.val == val {
-			av.bm.Set(bit)
-			return
-		}
-	}
-	av := &attrVal{val: val}
-	av.bm.Set(bit)
-	(*attrs)[name] = append(vals, av)
+	s := p.allocSlot(slotNode, int64(n))
+	p.nodes[n] = s
+	return s
 }
 
-// member evaluates the bitmap semantics for one graph. The caller holds at
-// least the read lock.
-func (p *Pool) member(bm *bitset.Bits, g *graphEntry) bool {
-	switch g.kind {
-	case KindCurrent:
-		return bm.Get(0)
-	case KindMaterialized:
-		return bm.Get(g.bit)
-	default: // KindHistorical
-		if bm.Get(g.bit) {
-			return bm.Get(g.bit + 1)
+// edgeSlot returns e's slot, making e resident if needed.
+func (p *Pool) edgeSlot(e graph.EdgeID, info graph.EdgeInfo) int32 {
+	if s, ok := p.edges[e]; ok {
+		return s
+	}
+	s := p.allocSlot(slotEdge, int64(e))
+	o := &p.owners[s]
+	o.from, o.to, o.directed = info.From, info.To, info.Directed
+	p.edges[e] = s
+	p.adj[info.From] = append(p.adj[info.From], s)
+	if info.To != info.From {
+		p.adj[info.To] = append(p.adj[info.To], s)
+	}
+	return s
+}
+
+// nameID interns an attribute name. The caller holds the write lock.
+func (p *Pool) nameID(name string) int32 {
+	id, ok := p.nameIDs[name]
+	if !ok {
+		id = int32(len(p.names))
+		p.names = append(p.names, name)
+		p.nameIDs[name] = id
+	}
+	return id
+}
+
+// addVal returns the slot of value val of attribute name in *set,
+// appending the value (owned by element id) if it is not resident. The
+// caller stores a grown set back into its map.
+func (p *Pool) addVal(set *attrSet, name int32, val string, kind slotKind, id int64) int32 {
+	for _, av := range *set {
+		if av.name == name && av.val == val {
+			return av.slot
 		}
-		if g.dep != NoDependency {
-			if dep, ok := p.graphs[g.dep]; ok {
-				return p.member(bm, dep)
+	}
+	s := p.allocSlot(kind, id)
+	*set = append(*set, attrVal{name: name, slot: s, val: val})
+	return s
+}
+
+// member evaluates the bit semantics of one slot for g. The caller holds
+// at least the read lock.
+func (p *Pool) member(slot int32, g *graphEntry) bool {
+	for {
+		switch g.kind {
+		case KindCurrent:
+			return p.get(0, slot)
+		case KindMaterialized:
+			return p.get(g.bit, slot)
+		}
+		if p.get(g.bit, slot) {
+			return p.get(g.bit+1, slot)
+		}
+		if g.dep == nil {
+			return false
+		}
+		g = g.dep
+	}
+}
+
+// attrMember is member for a value of the named node (node) or edge
+// attribute: a dependent graph inherits only the attributes it selected.
+func (p *Pool) attrMember(slot int32, g *graphEntry, node bool, name string) bool {
+	if g.dep != nil && !p.get(g.bit, slot) {
+		if node && !g.attrs.WantNodeAttr(name) || !node && !g.attrs.WantEdgeAttr(name) {
+			return false
+		}
+	}
+	return p.member(slot, g)
+}
+
+// overlayAttrs sets bits on the values of the attributes in src, for
+// node attributes (kind slotNodeAttr) or for edge attributes of resident
+// edges.
+func overlayAttrs[K ~int64](p *Pool, m map[K]attrSet, src map[K]map[string]string, kind slotKind, bits ...int) {
+	for id, attrs := range src {
+		if kind == slotEdgeAttr {
+			if _, ok := p.edges[graph.EdgeID(id)]; !ok {
+				continue // attribute for an edge the snapshot does not contain
 			}
 		}
-		return false
+		set := m[id]
+		n := len(set)
+		for k, v := range attrs {
+			slot := p.addVal(&set, p.nameID(k), v, kind, int64(id))
+			for _, b := range bits {
+				p.set(b, slot)
+			}
+		}
+		if len(set) != n {
+			m[id] = set
+		}
 	}
 }
 
@@ -206,40 +338,23 @@ func (p *Pool) member(bm *bitset.Bits, g *graphEntry) bool {
 func (p *Pool) OverlaySnapshot(s *graph.Snapshot, at graph.Time) GraphID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	entry := &graphEntry{id: p.nextID, kind: KindHistorical, bit: p.allocPair(), dep: NoDependency, at: at}
-	p.nextID++
-	p.graphs[entry.id] = entry
-	memberBit := entry.bit + 1
+	g := p.register(KindHistorical, p.allocPair(), at)
+	exc, mem := &p.cols[g.bit], &p.cols[g.bit+1]
 	for n := range s.Nodes {
-		pn := p.node(n)
-		pn.bm.Set(entry.bit)
-		pn.bm.Set(memberBit)
+		slot := int(p.nodeSlot(n))
+		exc.Set(slot)
+		mem.Set(slot)
 	}
 	for e, info := range s.Edges {
-		pe := p.edge(e, info)
-		pe.bm.Set(entry.bit)
-		pe.bm.Set(memberBit)
+		slot := int(p.edgeSlot(e, info))
+		exc.Set(slot)
+		mem.Set(slot)
 	}
-	for n, attrs := range s.NodeAttrs {
-		pn := p.node(n)
-		for k, v := range attrs {
-			setAttr(&pn.attrs, k, v, entry.bit)
-			setAttr(&pn.attrs, k, v, memberBit)
-		}
-	}
-	for e, attrs := range s.EdgeAttrs {
-		pe, ok := p.edges[e]
-		if !ok {
-			continue // attribute for an edge the snapshot does not contain
-		}
-		for k, v := range attrs {
-			setAttr(&pe.attrs, k, v, entry.bit)
-			setAttr(&pe.attrs, k, v, memberBit)
-		}
-	}
-	entry.nodeCount = len(s.Nodes)
-	entry.edgeCount = len(s.Edges)
-	return entry.id
+	overlayAttrs(p, p.nodeAttrs, s.NodeAttrs, slotNodeAttr, g.bit, g.bit+1)
+	overlayAttrs(p, p.edgeAttrs, s.EdgeAttrs, slotEdgeAttr, g.bit, g.bit+1)
+	g.nodeCount = len(s.Nodes)
+	g.edgeCount = len(s.Edges)
+	return g.id
 }
 
 // OverlayMaterialized registers a materialized DeltaGraph node's graph
@@ -247,31 +362,19 @@ func (p *Pool) OverlaySnapshot(s *graph.Snapshot, at graph.Time) GraphID {
 func (p *Pool) OverlayMaterialized(s *graph.Snapshot) GraphID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	entry := &graphEntry{id: p.nextID, kind: KindMaterialized, bit: p.allocSingle(), dep: NoDependency}
-	p.nextID++
-	p.graphs[entry.id] = entry
+	g := p.register(KindMaterialized, p.allocSingle(), 0)
+	col := &p.cols[g.bit]
 	for n := range s.Nodes {
-		p.node(n).bm.Set(entry.bit)
+		col.Set(int(p.nodeSlot(n)))
 	}
 	for e, info := range s.Edges {
-		p.edge(e, info).bm.Set(entry.bit)
+		col.Set(int(p.edgeSlot(e, info)))
 	}
-	for n, attrs := range s.NodeAttrs {
-		pn := p.node(n)
-		for k, v := range attrs {
-			setAttr(&pn.attrs, k, v, entry.bit)
-		}
-	}
-	for e, attrs := range s.EdgeAttrs {
-		if pe, ok := p.edges[e]; ok {
-			for k, v := range attrs {
-				setAttr(&pe.attrs, k, v, entry.bit)
-			}
-		}
-	}
-	entry.nodeCount = len(s.Nodes)
-	entry.edgeCount = len(s.Edges)
-	return entry.id
+	overlayAttrs(p, p.nodeAttrs, s.NodeAttrs, slotNodeAttr, g.bit)
+	overlayAttrs(p, p.edgeAttrs, s.EdgeAttrs, slotEdgeAttr, g.bit)
+	g.nodeCount = len(s.Nodes)
+	g.edgeCount = len(s.Edges)
+	return g.id
 }
 
 // OverlayDependent registers a historical graph stored as exceptions
@@ -280,6 +383,16 @@ func (p *Pool) OverlayMaterialized(s *graph.Snapshot) GraphID {
 // Only the exception elements are touched — the optimization the bit pair
 // exists for.
 func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time) (GraphID, error) {
+	return p.OverlayDependentFiltered(dep, d, at, allAttrs)
+}
+
+// OverlayDependentFiltered is OverlayDependent for a snapshot retrieved
+// with attribute options: d transforms dep's graph, keeping only the
+// attributes opts selects, into the snapshot. The registered graph
+// inherits only those attributes from dep, so a structure-only snapshot
+// overlaid on the current graph shows none of the current graph's
+// attributes.
+func (p *Pool) OverlayDependentFiltered(dep GraphID, d *delta.Delta, at graph.Time, opts graph.AttrOptions) (GraphID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	depEntry, ok := p.graphs[dep]
@@ -289,71 +402,63 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time) (Gra
 	if depEntry.kind == KindHistorical {
 		return 0, fmt.Errorf("graphpool: dependency must be the current graph or a materialized graph")
 	}
-	entry := &graphEntry{id: p.nextID, kind: KindHistorical, bit: p.allocPair(), dep: dep, at: at}
-	p.nextID++
-	p.graphs[entry.id] = entry
+	g := p.register(KindHistorical, p.allocPair(), at)
+	g.dep, g.attrs = depEntry, opts
 	depEntry.dependents++
 
-	exc, member := entry.bit, entry.bit+1
+	exc, mem := g.bit, g.bit+1
+	include := func(slot int32) {
+		p.set(exc, slot)
+		p.set(mem, slot)
+	}
+	exclude := func(slot int32) {
+		p.set(exc, slot)
+		p.unset(mem, slot)
+	}
+	// excludeAll marks every resident value of an attribute as an
+	// exception (excluded), before a new value is included.
+	excludeAll := func(set attrSet, name int32) {
+		for _, av := range set {
+			if av.name == name {
+				exclude(av.slot)
+			}
+		}
+	}
 	for _, n := range d.AddNodes {
-		pn := p.node(n)
-		pn.bm.Set(exc)
-		pn.bm.Set(member)
+		include(p.nodeSlot(n))
 	}
 	for _, n := range d.DelNodes {
-		pn := p.node(n)
-		pn.bm.Set(exc)
-		pn.bm.Clear(member)
+		exclude(p.nodeSlot(n))
 	}
 	for _, e := range d.AddEdges {
-		pe := p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed})
-		pe.bm.Set(exc)
-		pe.bm.Set(member)
+		include(p.edgeSlot(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}))
 	}
 	for _, e := range d.DelEdges {
-		pe := p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed})
-		pe.bm.Set(exc)
-		pe.bm.Clear(member)
+		exclude(p.edgeSlot(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}))
 	}
 	for _, rec := range d.SetNodeAttrs {
-		pn := p.node(rec.Node)
-		// Mark every existing value of this attribute as an exception
-		// (excluded), then include the new value.
-		for _, av := range pn.attrs[rec.Attr] {
-			av.bm.Set(exc)
-			av.bm.Clear(member)
-		}
-		setAttr(&pn.attrs, rec.Attr, rec.Val, exc)
-		setAttr(&pn.attrs, rec.Attr, rec.Val, member)
+		set, name := p.nodeAttrs[rec.Node], p.nameID(rec.Attr)
+		excludeAll(set, name)
+		include(p.addVal(&set, name, rec.Val, slotNodeAttr, int64(rec.Node)))
+		p.nodeAttrs[rec.Node] = set
 	}
 	for _, rec := range d.DelNodeAttrs {
-		pn := p.node(rec.Node)
-		for _, av := range pn.attrs[rec.Attr] {
-			av.bm.Set(exc)
-			av.bm.Clear(member)
-		}
+		excludeAll(p.nodeAttrs[rec.Node], p.nameID(rec.Attr))
 	}
 	for _, rec := range d.SetEdgeAttrs {
-		if pe, ok := p.edges[rec.Edge]; ok {
-			for _, av := range pe.attrs[rec.Attr] {
-				av.bm.Set(exc)
-				av.bm.Clear(member)
-			}
-			setAttr(&pe.attrs, rec.Attr, rec.Val, exc)
-			setAttr(&pe.attrs, rec.Attr, rec.Val, member)
+		if _, ok := p.edges[rec.Edge]; ok {
+			set, name := p.edgeAttrs[rec.Edge], p.nameID(rec.Attr)
+			excludeAll(set, name)
+			include(p.addVal(&set, name, rec.Val, slotEdgeAttr, int64(rec.Edge)))
+			p.edgeAttrs[rec.Edge] = set
 		}
 	}
 	for _, rec := range d.DelEdgeAttrs {
-		if pe, ok := p.edges[rec.Edge]; ok {
-			for _, av := range pe.attrs[rec.Attr] {
-				av.bm.Set(exc)
-				av.bm.Clear(member)
-			}
-		}
+		excludeAll(p.edgeAttrs[rec.Edge], p.nameID(rec.Attr))
 	}
-	entry.nodeCount = depEntry.nodeCount + len(d.AddNodes) - len(d.DelNodes)
-	entry.edgeCount = depEntry.edgeCount + len(d.AddEdges) - len(d.DelEdges)
-	return entry.id, nil
+	g.nodeCount = depEntry.nodeCount + len(d.AddNodes) - len(d.DelNodes)
+	g.edgeCount = depEntry.edgeCount + len(d.AddEdges) - len(d.DelEdges)
+	return g.id, nil
 }
 
 // LoadCurrent seeds the current graph (bit 0) from a full snapshot; used
@@ -362,41 +467,16 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time) (Gra
 func (p *Pool) LoadCurrent(s *graph.Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, pn := range p.nodes {
-		pn.bm.Clear(0)
-		for _, vals := range pn.attrs {
-			for _, av := range vals {
-				av.bm.Clear(0)
-			}
-		}
-	}
-	for _, pe := range p.edges {
-		pe.bm.Clear(0)
-		for _, vals := range pe.attrs {
-			for _, av := range vals {
-				av.bm.Clear(0)
-			}
-		}
-	}
+	col := &p.cols[0]
+	col.ClearAll()
 	for n := range s.Nodes {
-		p.node(n).bm.Set(0)
+		col.Set(int(p.nodeSlot(n)))
 	}
 	for e, info := range s.Edges {
-		p.edge(e, info).bm.Set(0)
+		col.Set(int(p.edgeSlot(e, info)))
 	}
-	for n, attrs := range s.NodeAttrs {
-		pn := p.node(n)
-		for k, v := range attrs {
-			setAttr(&pn.attrs, k, v, 0)
-		}
-	}
-	for e, attrs := range s.EdgeAttrs {
-		if pe, ok := p.edges[e]; ok {
-			for k, v := range attrs {
-				setAttr(&pe.attrs, k, v, 0)
-			}
-		}
-	}
+	overlayAttrs(p, p.nodeAttrs, s.NodeAttrs, slotNodeAttr, 0)
+	overlayAttrs(p, p.edgeAttrs, s.EdgeAttrs, slotEdgeAttr, 0)
 	cur := p.graphs[CurrentGraph]
 	cur.nodeCount = len(s.Nodes)
 	cur.edgeCount = len(s.Edges)
@@ -411,78 +491,67 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 	cur := p.graphs[CurrentGraph]
 	switch ev.Type {
 	case graph.AddNode:
-		pn := p.node(ev.Node)
-		if !pn.bm.Get(0) {
-			cur.nodeCount++
-		}
-		pn.bm.Set(0)
+		cur.nodeCount += p.enterCurrent(p.nodeSlot(ev.Node))
 	case graph.DelNode:
-		pn := p.node(ev.Node)
-		if pn.bm.Get(0) {
-			cur.nodeCount--
-		}
-		pn.bm.Clear(0)
-		pn.bm.Set(1)
+		cur.nodeCount -= p.retire(p.nodeSlot(ev.Node))
 	case graph.AddEdge:
-		pe := p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed})
-		if !pe.bm.Get(0) {
-			cur.edgeCount++
-		}
-		pe.bm.Set(0)
+		cur.edgeCount += p.enterCurrent(p.edgeSlot(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}))
 	case graph.DelEdge:
-		pe := p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed})
-		if pe.bm.Get(0) {
-			cur.edgeCount--
-		}
-		pe.bm.Clear(0)
-		pe.bm.Set(1)
+		cur.edgeCount -= p.retire(p.edgeSlot(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}))
 	case graph.SetNodeAttr:
-		pn := p.node(ev.Node)
-		for _, av := range pn.attrs[ev.Attr] {
-			if av.bm.Get(0) {
-				av.bm.Clear(0)
-				av.bm.Set(1)
-			}
-		}
+		set, name := p.nodeAttrs[ev.Node], p.nameID(ev.Attr)
+		p.retireVals(set, name)
 		if ev.HasNew {
-			setAttr(&pn.attrs, ev.Attr, ev.New, 0)
+			p.set(0, p.addVal(&set, name, ev.New, slotNodeAttr, int64(ev.Node)))
+			p.nodeAttrs[ev.Node] = set
 		}
 	case graph.SetEdgeAttr:
-		if pe, ok := p.edges[ev.Edge]; ok {
-			for _, av := range pe.attrs[ev.Attr] {
-				if av.bm.Get(0) {
-					av.bm.Clear(0)
-					av.bm.Set(1)
-				}
-			}
+		if _, ok := p.edges[ev.Edge]; ok {
+			set, name := p.edgeAttrs[ev.Edge], p.nameID(ev.Attr)
+			p.retireVals(set, name)
 			if ev.HasNew {
-				setAttr(&pe.attrs, ev.Attr, ev.New, 0)
+				p.set(0, p.addVal(&set, name, ev.New, slotEdgeAttr, int64(ev.Edge)))
+				p.edgeAttrs[ev.Edge] = set
 			}
 		}
 	}
 }
 
-// ClearRecent clears bit 1 everywhere: the recently deleted elements are
-// now covered by the on-disk index (called after a leaf-eventlist flush).
+// enterCurrent sets bit 0 on slot, returning 1 if it was clear.
+func (p *Pool) enterCurrent(slot int32) int {
+	if p.get(0, slot) {
+		return 0
+	}
+	p.set(0, slot)
+	return 1
+}
+
+// retire moves slot out of the current graph into the recently deleted
+// set (bit 1), returning 1 if it was in the current graph.
+func (p *Pool) retire(slot int32) int {
+	p.set(1, slot)
+	if !p.get(0, slot) {
+		return 0
+	}
+	p.unset(0, slot)
+	return 1
+}
+
+// retireVals retires the current value of an attribute.
+func (p *Pool) retireVals(set attrSet, name int32) {
+	for _, av := range set {
+		if av.name == name && p.get(0, av.slot) {
+			p.retire(av.slot)
+		}
+	}
+}
+
+// ClearRecent zeroes bit 1: the recently deleted elements are now covered
+// by the on-disk index (called after a leaf-eventlist flush).
 func (p *Pool) ClearRecent() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, pn := range p.nodes {
-		pn.bm.Clear(1)
-		for _, vals := range pn.attrs {
-			for _, av := range vals {
-				av.bm.Clear(1)
-			}
-		}
-	}
-	for _, pe := range p.edges {
-		pe.bm.Clear(1)
-		for _, vals := range pe.attrs {
-			for _, av := range vals {
-				av.bm.Clear(1)
-			}
-		}
-	}
+	p.cols[1].ClearAll()
 }
 
 // Pin takes a reference on an active graph: a pinned graph survives
@@ -548,114 +617,98 @@ func (p *Pool) Release(id GraphID) error {
 		return nil
 	}
 	entry.released = true
-	if entry.dep != NoDependency {
-		if dep, ok := p.graphs[entry.dep]; ok {
-			dep.dependents--
-		}
+	if entry.dep != nil {
+		entry.dep.dependents--
 	}
 	return nil
 }
 
-// CleanNow performs the lazy cleanup pass: it clears the bits of every
-// released graph, deletes elements whose bitmaps become empty, and recycles
-// the bits. It returns the number of elements removed from the pool.
+// CleanNow performs the lazy cleanup pass: it zeroes the columns of every
+// released, unpinned graph, evicts the elements no remaining column holds,
+// and recycles the bits and the evicted slots. It returns the number of
+// elements (nodes, edges and attribute values) removed from the pool.
 // (The paper performs this periodically in the absence of query load; the
 // library leaves scheduling to the caller — see Cleaner.)
 func (p *Pool) CleanNow() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var bits []int
-	for id, entry := range p.graphs {
-		if !entry.released || entry.pins > 0 {
+	reclaimed := false
+	for id, g := range p.graphs {
+		if !g.released || g.pins > 0 {
 			continue
 		}
-		bits = append(bits, entry.bit)
-		if entry.kind == KindHistorical {
-			bits = append(bits, entry.bit+1)
-			p.freePairs = append(p.freePairs, entry.bit)
+		reclaimed = true
+		p.cols[g.bit].ClearAll()
+		if g.kind == KindHistorical {
+			p.cols[g.bit+1].ClearAll()
+			p.freePairs = append(p.freePairs, g.bit)
 		} else {
-			p.freeSingles = append(p.freeSingles, entry.bit)
+			p.freeSingles = append(p.freeSingles, g.bit)
 		}
 		delete(p.graphs, id)
 	}
-	if len(bits) == 0 {
+	if !reclaimed {
 		return 0
 	}
-	removed := 0
-	for id, pn := range p.nodes {
-		for _, b := range bits {
-			pn.bm.Clear(b)
-		}
-		for name, vals := range pn.attrs {
-			kept := vals[:0]
-			for _, av := range vals {
-				for _, b := range bits {
-					av.bm.Clear(b)
-				}
-				if av.bm.Any() {
-					kept = append(kept, av)
-				} else {
-					removed++
-				}
-			}
-			if len(kept) == 0 {
-				delete(pn.attrs, name)
-			} else {
-				pn.attrs[name] = kept
-			}
-		}
-		if !pn.bm.Any() && len(pn.attrs) == 0 {
-			delete(p.nodes, id)
-			removed++
+	p.live.ClearAll()
+	for _, g := range p.graphs {
+		p.live.Or(&p.cols[g.bit])
+		if g.kind != KindMaterialized {
+			p.live.Or(&p.cols[g.bit+1])
 		}
 	}
-	for id, pe := range p.edges {
-		for _, b := range bits {
-			pe.bm.Clear(b)
-		}
-		for name, vals := range pe.attrs {
-			kept := vals[:0]
-			for _, av := range vals {
-				for _, b := range bits {
-					av.bm.Clear(b)
-				}
-				if av.bm.Any() {
-					kept = append(kept, av)
-				} else {
-					removed++
-				}
-			}
+	removed, edges := 0, len(p.edges)
+	p.used.EachNotIn(&p.live, func(i int) {
+		p.evict(int32(i))
+		removed++
+	})
+	if len(p.edges) < edges {
+		// One sweep drops the evicted edges from the adjacency lists; a
+		// pass typically evicts edges at most nodes, so this beats a
+		// lookup and scan per endpoint.
+		for n, list := range p.adj {
+			kept := slices.DeleteFunc(list, func(s int32) bool { return !p.used.Get(int(s)) })
 			if len(kept) == 0 {
-				delete(pe.attrs, name)
-			} else {
-				pe.attrs[name] = kept
+				delete(p.adj, n)
+			} else if len(kept) < len(list) {
+				p.adj[n] = kept
 			}
-		}
-		if !pe.bm.Any() && len(pe.attrs) == 0 {
-			delete(p.edges, id)
-			p.dropAdj(pe.info.From, id)
-			if pe.info.To != pe.info.From {
-				p.dropAdj(pe.info.To, id)
-			}
-			removed++
 		}
 	}
 	return removed
 }
 
-func (p *Pool) dropAdj(n graph.NodeID, e graph.EdgeID) {
-	list := p.adj[n]
-	for i, id := range list {
-		if id == e {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
+// evict removes the element in slot from the pool (an evicted edge stays
+// in the adjacency lists until CleanNow's sweep) and frees the slot. The
+// slot has no bit set in any column, so a later owner starts clean.
+func (p *Pool) evict(slot int32) {
+	o := p.owners[slot]
+	switch o.kind {
+	case slotNode:
+		delete(p.nodes, graph.NodeID(o.id))
+	case slotEdge:
+		delete(p.edges, graph.EdgeID(o.id))
+	case slotNodeAttr:
+		dropVal(p.nodeAttrs, graph.NodeID(o.id), slot)
+	case slotEdgeAttr:
+		dropVal(p.edgeAttrs, graph.EdgeID(o.id), slot)
 	}
-	if len(list) == 0 {
-		delete(p.adj, n)
+	p.owners[slot] = owner{}
+	p.used.Clear(int(slot))
+	p.freeSlots = append(p.freeSlots, slot)
+}
+
+// dropVal removes the attribute value held in slot from id's set.
+func dropVal[K comparable](m map[K]attrSet, id K, slot int32) {
+	set := m[id]
+	i := slices.IndexFunc(set, func(av attrVal) bool { return av.slot == slot })
+	if i < 0 {
+		return
+	}
+	if set = slices.Delete(set, i, i+1); len(set) == 0 {
+		delete(m, id)
 	} else {
-		p.adj[n] = list
+		m[id] = set
 	}
 }
 
@@ -676,7 +729,7 @@ func (p *Pool) MappingTable() []MappingRow {
 	defer p.mu.RUnlock()
 	rows := make([]MappingRow, 0, len(p.graphs))
 	for _, e := range p.graphs {
-		row := MappingRow{ID: e.id, Kind: e.kind, Dep: e.dep, At: e.at}
+		row := MappingRow{ID: e.id, Kind: e.kind, Dep: e.depID(), At: e.at}
 		row.Bits[0] = e.bit
 		row.Bits[1] = -1
 		if e.kind == KindHistorical || e.kind == KindCurrent {
@@ -694,7 +747,7 @@ type Stats struct {
 	PinnedGraphs int // graphs with at least one Pin reference
 	PoolNodes    int // union-graph nodes resident
 	PoolEdges    int
-	Bits         int // bitmap width in use
+	Bits         int // bit columns allocated (the bitmap width)
 }
 
 // Stats returns current pool statistics.
@@ -705,7 +758,7 @@ func (p *Pool) Stats() Stats {
 		ActiveGraphs: len(p.graphs),
 		PoolNodes:    len(p.nodes),
 		PoolEdges:    len(p.edges),
-		Bits:         p.nextBit,
+		Bits:         len(p.cols),
 	}
 	for _, e := range p.graphs {
 		if e.pins > 0 {
@@ -716,36 +769,39 @@ func (p *Pool) Stats() Stats {
 }
 
 // ApproxBytes estimates the pool's memory footprint: element records,
-// adjacency entries, attribute values, and bitmaps. It is the quantity
-// plotted in the paper's Figure 8(a).
+// adjacency entries, attribute values, the slot table and the bit
+// columns. It is the quantity plotted in the paper's Figure 8(a).
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	const (
-		nodeOverhead = 48 // map entry + struct
-		edgeOverhead = 72
-		attrOverhead = 40
-		adjEntry     = 8
+		elemOverhead = 16 // map entry: node or edge ID → slot
+		setOverhead  = 32 // map entry: element ID → attribute set
+		attrOverhead = 24 // value entry
+		slotOverhead = 32 // slot→owner row
+		adjEntry     = 4
 	)
-	var total int64
-	for _, pn := range p.nodes {
-		total += nodeOverhead + int64(pn.bm.SizeBytes())
-		for name, vals := range pn.attrs {
-			for _, av := range vals {
-				total += attrOverhead + int64(len(name)+len(av.val)) + int64(av.bm.SizeBytes())
-			}
-		}
-	}
-	for _, pe := range p.edges {
-		total += edgeOverhead + int64(pe.bm.SizeBytes())
-		for name, vals := range pe.attrs {
-			for _, av := range vals {
-				total += attrOverhead + int64(len(name)+len(av.val)) + int64(av.bm.SizeBytes())
-			}
-		}
+	total := int64((len(p.nodes)+len(p.edges))*elemOverhead + len(p.owners)*slotOverhead)
+	total += attrBytes(p.nodeAttrs, setOverhead, attrOverhead) + attrBytes(p.edgeAttrs, setOverhead, attrOverhead)
+	for _, name := range p.names {
+		total += int64(len(name))
 	}
 	for _, list := range p.adj {
 		total += adjEntry * int64(len(list))
+	}
+	total += int64(p.used.SizeBytes())
+	for i := range p.cols {
+		total += int64(p.cols[i].SizeBytes())
+	}
+	return total
+}
+
+func attrBytes[K comparable](m map[K]attrSet, setOverhead, attrOverhead int) int64 {
+	total := int64(len(m) * setOverhead)
+	for _, set := range m {
+		for _, av := range set {
+			total += int64(attrOverhead + len(av.val))
+		}
 	}
 	return total
 }

@@ -45,7 +45,7 @@ func (v *View) At() graph.Time { return v.entry.at }
 // while the current graph does not change — callers that hold views
 // across updates (the server's hot-snapshot cache) must drop it on
 // append.
-func (v *View) DependsOnCurrent() bool { return v.entry.dep == CurrentGraph }
+func (v *View) DependsOnCurrent() bool { return v.entry.dep != nil && v.entry.dep.kind == KindCurrent }
 
 // NumNodes returns the node count of this graph.
 func (v *View) NumNodes() int {
@@ -65,27 +65,27 @@ func (v *View) NumEdges() int {
 func (v *View) HasNode(n graph.NodeID) bool {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pn, ok := v.p.nodes[n]
-	return ok && v.p.member(&pn.bm, v.entry)
+	slot, ok := v.p.nodes[n]
+	return ok && v.p.member(slot, v.entry)
 }
 
 // HasEdge reports whether the edge is in this graph.
 func (v *View) HasEdge(e graph.EdgeID) bool {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	return ok && v.p.member(&pe.bm, v.entry)
+	slot, ok := v.p.edges[e]
+	return ok && v.p.member(slot, v.entry)
 }
 
 // EdgeInfo returns the endpoints of an edge in this graph.
 func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	if !ok || !v.p.member(&pe.bm, v.entry) {
+	slot, ok := v.p.edges[e]
+	if !ok || !v.p.member(slot, v.entry) {
 		return graph.EdgeInfo{}, false
 	}
-	return pe.info, true
+	return v.p.owners[slot].edgeInfo(), true
 }
 
 // ForEachNode calls fn for every node in this graph until fn returns false.
@@ -94,8 +94,8 @@ func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, bool) {
 func (v *View) ForEachNode(fn func(graph.NodeID) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	for id, pn := range v.p.nodes {
-		if v.p.member(&pn.bm, v.entry) {
+	for id, slot := range v.p.nodes {
+		if v.p.member(slot, v.entry) {
 			if !fn(id) {
 				return
 			}
@@ -107,9 +107,9 @@ func (v *View) ForEachNode(fn func(graph.NodeID) bool) {
 func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	for id, pe := range v.p.edges {
-		if v.p.member(&pe.bm, v.entry) {
-			if !fn(id, pe.info) {
+	for id, slot := range v.p.edges {
+		if v.p.member(slot, v.entry) {
+			if !fn(id, v.p.owners[slot].edgeInfo()) {
 				return
 			}
 		}
@@ -131,9 +131,9 @@ func (v *View) IncidentEdges(n graph.NodeID) []graph.EdgeID {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	var out []graph.EdgeID
-	for _, e := range v.p.adj[n] {
-		if pe, ok := v.p.edges[e]; ok && v.p.member(&pe.bm, v.entry) {
-			out = append(out, e)
+	for _, slot := range v.p.adj[n] {
+		if v.p.member(slot, v.entry) {
+			out = append(out, graph.EdgeID(v.p.owners[slot].id))
 		}
 	}
 	return out
@@ -147,12 +147,11 @@ func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	defer v.p.mu.RUnlock()
 	seen := make(map[graph.NodeID]struct{})
 	var out []graph.NodeID
-	for _, e := range v.p.adj[n] {
-		pe, ok := v.p.edges[e]
-		if !ok || !v.p.member(&pe.bm, v.entry) {
+	for _, slot := range v.p.adj[n] {
+		if !v.p.member(slot, v.entry) {
 			continue
 		}
-		other := pe.info.Other(n)
+		other := v.p.owners[slot].edgeInfo().Other(n)
 		if _, dup := seen[other]; !dup {
 			seen[other] = struct{}{}
 			out = append(out, other)
@@ -166,8 +165,8 @@ func (v *View) Degree(n graph.NodeID) int {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	d := 0
-	for _, e := range v.p.adj[n] {
-		if pe, ok := v.p.edges[e]; ok && v.p.member(&pe.bm, v.entry) {
+	for _, slot := range v.p.adj[n] {
+		if v.p.member(slot, v.entry) {
 			d++
 		}
 	}
@@ -178,55 +177,33 @@ func (v *View) Degree(n graph.NodeID) int {
 func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pn, ok := v.p.nodes[n]
-	if !ok || !v.p.member(&pn.bm, v.entry) {
+	slot, ok := v.p.nodes[n]
+	if !ok || !v.p.member(slot, v.entry) {
 		return "", false
 	}
-	for _, av := range pn.attrs[attr] {
-		if v.p.member(&av.bm, v.entry) {
-			return av.val, true
-		}
-	}
-	return "", false
+	return v.p.attrIn(v.p.nodeAttrs[n], v.entry, true, attr)
 }
 
 // EdgeAttr returns the value of an edge attribute in this graph.
 func (v *View) EdgeAttr(e graph.EdgeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	if !ok || !v.p.member(&pe.bm, v.entry) {
+	slot, ok := v.p.edges[e]
+	if !ok || !v.p.member(slot, v.entry) {
 		return "", false
 	}
-	for _, av := range pe.attrs[attr] {
-		if v.p.member(&av.bm, v.entry) {
-			return av.val, true
-		}
-	}
-	return "", false
+	return v.p.attrIn(v.p.edgeAttrs[e], v.entry, false, attr)
 }
 
 // NodeAttrs returns all attributes of n in this graph.
 func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pn, ok := v.p.nodes[n]
-	if !ok || !v.p.member(&pn.bm, v.entry) {
+	slot, ok := v.p.nodes[n]
+	if !ok || !v.p.member(slot, v.entry) {
 		return nil
 	}
-	out := make(map[string]string)
-	for name, vals := range pn.attrs {
-		for _, av := range vals {
-			if v.p.member(&av.bm, v.entry) {
-				out[name] = av.val
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return v.p.attrsIn(v.p.nodeAttrs[n], v.entry, true)
 }
 
 // EdgeAttrs returns all attributes of e in this graph (nil when the edge
@@ -236,21 +213,41 @@ func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	if !ok || !v.p.member(&pe.bm, v.entry) {
+	slot, ok := v.p.edges[e]
+	if !ok || !v.p.member(slot, v.entry) {
 		return nil
 	}
-	out := make(map[string]string)
-	for name, vals := range pe.attrs {
-		for _, av := range vals {
-			if v.p.member(&av.bm, v.entry) {
-				out[name] = av.val
-				break
-			}
+	return v.p.attrsIn(v.p.edgeAttrs[e], v.entry, false)
+}
+
+// attrIn returns the value of the named node (node) or edge attribute
+// that graph g holds among set. The caller holds the read lock.
+func (p *Pool) attrIn(set attrSet, g *graphEntry, node bool, name string) (string, bool) {
+	id, ok := p.nameIDs[name]
+	if !ok {
+		return "", false
+	}
+	for _, av := range set {
+		if av.name == id && p.attrMember(av.slot, g, node, name) {
+			return av.val, true
 		}
 	}
-	if len(out) == 0 {
-		return nil
+	return "", false
+}
+
+// attrsIn returns the attributes in set that graph g holds (nil when
+// none). The caller holds the read lock.
+func (p *Pool) attrsIn(set attrSet, g *graphEntry, node bool) map[string]string {
+	var out map[string]string
+	for _, av := range set {
+		name := p.names[av.name]
+		if _, done := out[name]; done || !p.attrMember(av.slot, g, node, name) {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]string)
+		}
+		out[name] = av.val
 	}
 	return out
 }
@@ -260,38 +257,22 @@ func (v *View) Snapshot() *graph.Snapshot {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	s := graph.NewSnapshot()
-	for id, pn := range v.p.nodes {
-		if !v.p.member(&pn.bm, v.entry) {
+	for id, slot := range v.p.nodes {
+		if !v.p.member(slot, v.entry) {
 			continue
 		}
 		s.Nodes[id] = struct{}{}
-		for name, vals := range pn.attrs {
-			for _, av := range vals {
-				if v.p.member(&av.bm, v.entry) {
-					if s.NodeAttrs[id] == nil {
-						s.NodeAttrs[id] = make(map[string]string)
-					}
-					s.NodeAttrs[id][name] = av.val
-					break
-				}
-			}
+		if attrs := v.p.attrsIn(v.p.nodeAttrs[id], v.entry, true); attrs != nil {
+			s.NodeAttrs[id] = attrs
 		}
 	}
-	for id, pe := range v.p.edges {
-		if !v.p.member(&pe.bm, v.entry) {
+	for id, slot := range v.p.edges {
+		if !v.p.member(slot, v.entry) {
 			continue
 		}
-		s.Edges[id] = pe.info
-		for name, vals := range pe.attrs {
-			for _, av := range vals {
-				if v.p.member(&av.bm, v.entry) {
-					if s.EdgeAttrs[id] == nil {
-						s.EdgeAttrs[id] = make(map[string]string)
-					}
-					s.EdgeAttrs[id][name] = av.val
-					break
-				}
-			}
+		s.Edges[id] = v.p.owners[slot].edgeInfo()
+		if attrs := v.p.attrsIn(v.p.edgeAttrs[id], v.entry, false); attrs != nil {
+			s.EdgeAttrs[id] = attrs
 		}
 	}
 	return s

@@ -81,6 +81,7 @@ type Server struct {
 	ins        *Instrumentation
 	retrievals *metrics.Counter // underlying GetHistGraph executions
 	encodes    *metrics.Counter // snapshot-body encode executions (encoded-cache hits do none)
+	pool       *poolMetrics
 }
 
 // serverEndpoints is the endpoint-label whitelist for request metrics;
@@ -163,6 +164,8 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	s.slotsOwned = reg.Gauge("dg_slots_owned",
 		"Hash slots this worker owns (the full slot space until restricted).")
 	s.slotsOwned.Set(float64(graph.NumSlots))
+	s.pool = newPoolMetrics(reg, func() historygraph.PoolStats { return s.gm.Load().PoolStats() })
+	gm.OnClean(s.pool.observe)
 	s.runSize = cfg.StreamRun
 	if s.runSize <= 0 {
 		s.runSize = wire.DefaultRunSize
@@ -716,6 +719,8 @@ func (s *Server) Manager() *historygraph.GraphManager { return s.gm.Load() }
 // divergence that already made the old store unservable).
 func (s *Server) ReplaceManager(gm *historygraph.GraphManager) *historygraph.GraphManager {
 	old := s.gm.Swap(gm)
+	old.OnClean(nil)
+	gm.OnClean(s.pool.observe)
 	if s.cache != nil {
 		s.cache.setManager(gm)
 	}
@@ -761,7 +766,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	gm := s.gm.Load()
 	out := StatsJSON{
 		Index: gm.IndexStats(),
-		Pool:  gm.PoolStats(),
+		Pool:  s.pool.stats(),
 		Server: ServerStatsJSON{
 			Requests:   s.ins.Requests(),
 			Retrievals: s.retrievals.Value(),

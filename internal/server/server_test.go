@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"historygraph"
 	"historygraph/internal/datagen"
 	"historygraph/internal/metrics"
+	"historygraph/internal/wire"
 )
 
 // testCounters builds standalone cache counters for driving a cache
@@ -771,5 +774,63 @@ func TestRemoteMatchesDirectUnderConcurrency(t *testing.T) {
 	if snap.NumNodes != len(direct.Nodes) || snap.NumEdges != len(direct.Edges) {
 		t.Fatalf("remote %d/%d != direct %d/%d",
 			snap.NumNodes, snap.NumEdges, len(direct.Nodes), len(direct.Edges))
+	}
+}
+
+// TestSnapshotStructureOnlyHasNoAttrs: a structure-only /snapshot served
+// from a view overlaid on the current graph carries no attributes, whole-
+// message or streamed; an attribute selection carries only what it names.
+func TestSnapshotStructureOnlyHasNoAttrs(t *testing.T) {
+	gm, err := historygraph.Open(historygraph.Options{LeafEventlistSize: 4, CleanerInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gm.Close() })
+	if err := gm.AppendAll(historygraph.EventList{
+		{Type: historygraph.AddNode, At: 1, Node: 1},
+		{Type: historygraph.AddNode, At: 2, Node: 2},
+		{Type: historygraph.SetNodeAttr, At: 3, Node: 1, Attr: "name", New: "a", HasNew: true},
+		{Type: historygraph.SetNodeAttr, At: 3, Node: 1, Attr: "role", New: "r", HasNew: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, client := newTestServer(t, gm, Config{CacheSize: -1, EncodedCacheSize: -1})
+	for _, tc := range []struct {
+		attrs string
+		want  int // attributes on node 1
+	}{{"", 0}, {"+node:name", 1}, {"+node:all", 2}} {
+		snap, err := client.Snapshot(3, tc.attrs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []wire.Node
+		nodes = append(nodes, snap.Nodes...)
+		ss, err := client.SnapshotStreamCtx(context.Background(), 3, tc.attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := ss.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, f.Nodes...)
+		}
+		ss.Close()
+		if len(nodes) != 4 {
+			t.Fatalf("%q: %d nodes over both responses, want 2 each", tc.attrs, len(nodes))
+		}
+		for _, n := range nodes {
+			want := tc.want
+			if n.ID != 1 {
+				want = 0
+			}
+			if len(n.Attrs) != want {
+				t.Errorf("%q: node %d attrs %v, want %d", tc.attrs, n.ID, n.Attrs, want)
+			}
+		}
 	}
 }
